@@ -414,7 +414,7 @@ int main() {
           chain[0] = std::make_shared<const x509::Certificate>(
               x509::SignCertificate(tbs, ca.ca->key()));
           chain[1] = ca.cert;
-          const core::CertCorpus::Row row = pipeline.Observe(chain);
+          const core::CertCorpus::Row row = pipeline.Observe(chain).value();
           if (ca.row == core::CertCorpus::kNoRow)
             ca.row = pipeline.corpus().Find(ca.cert->Fingerprint());
 
@@ -480,7 +480,7 @@ int main() {
           chain[0] = std::make_shared<const x509::Certificate>(
               x509::SignCertificate(tbs, u.key));
           chain[1] = u.cert;
-          const core::CertCorpus::Row row = pipeline.Observe(chain);
+          const core::CertCorpus::Row row = pipeline.Observe(chain).value();
           if (u.row == core::CertCorpus::kNoRow)
             u.row = pipeline.corpus().Find(u.cert->Fingerprint());
 

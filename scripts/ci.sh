@@ -3,10 +3,12 @@
 # then a ThreadSanitizer pass over the concurrency-sensitive targets —
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
 # and the metrics/trace instruments (tests + a small bench_serve load) —
-# then an observability smoke: bench_serve must answer GET /metrics and
+# then an AddressSanitizer + UndefinedBehaviorSanitizer pass over the
+# parsers, the corpus arena and the serving/distribution suites, then an
+# observability smoke: bench_serve must answer GET /metrics and
 # land the registry snapshot in BENCH_serve.json, plus a QPS-regression
 # smoke against the baseline committed in BENCH_serve.json. Fails on any
-# ctest regression, TSan report, or QPS collapse.
+# ctest regression, TSan/ASan/UBSan report, or QPS collapse.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +61,25 @@ rm -rf "$fleet_tsan_dir"
 REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
   REV_SERVE_FLOOR=0 ./build-tsan/bench/bench_serve > /dev/null || {
     echo "bench_serve under TSan failed" >&2; exit 1; }
+
+echo "== ASan + UBSan: parsers, corpus arena, serving, distribution =="
+# A separate tree built through the plain CMake flag variables. The DER
+# parsers and the corpus's arena rebasing are pointer arithmetic over
+# untrusted bytes (the fuzz suite feeds them mutants), which ASan bounds-
+# checks; UBSan reports are made fatal so they fail CI like ASan's, and
+# libstdc++'s assertions bounds-check container indexing as well.
+san_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+san_flags="$san_flags -D_GLIBCXX_ASSERTIONS"
+cmake -B build-asan -S . \
+  -DCMAKE_CXX_FLAGS="$san_flags -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+asan_suites=(asn1 x509 crl ocsp crypto util fuzz property corpus serve cascade
+             fleet)
+cmake --build build-asan -j"$(nproc)" --target "${asan_suites[@]/%/_test}"
+for suite in "${asan_suites[@]}"; do
+  ./build-asan/tests/"${suite}"_test --gtest_brief=1 || {
+    echo "${suite}_test failed under ASan + UBSan" >&2; exit 1; }
+done
 
 echo "== observability smoke: /metrics endpoint + BENCH json metrics block =="
 smoke_dir=$(mktemp -d)
@@ -126,4 +147,4 @@ print(f"slo: {slo['alerts']} alerts, all in the storm phase: ok")
 PY
 rm -rf "$fleet_dir"
 
-echo "ci OK (tier-1 + TSan: unit suites, obs suite, serve stress, fleet suite + soak, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"
+echo "ci OK (tier-1 + TSan: unit suites, obs suite, serve stress, fleet suite + soak, ASan + UBSan: 12 suites, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"

@@ -41,14 +41,34 @@ CertCorpus::UrlRef CertCorpus::InternUrlLists(
   return ref;
 }
 
-CertCorpus::Row CertCorpus::AppendRow(BytesView fingerprint, const DerRef& ref,
-                                      const x509::CertView& view) {
+CertCorpus::Row CertCorpus::InternView(const x509::CertView& view,
+                                       BytesView fingerprint) {
+  const Row existing = Find(fingerprint);
+  if (existing != kNoRow) return existing;
   assert(refs_.size() < kNoRow);
   const Row row = static_cast<Row>(refs_.size());
+
+  // Rebase the views onto the arena copy by offset arithmetic — the copy is
+  // byte-identical, so no second parse is needed.
+  const BytesView arena_der = arena_.Copy(view.der);
+  const auto off = [&view](BytesView field) {
+    return static_cast<std::uint32_t>(field.data() - view.der.data());
+  };
+  DerRef ref;
+  ref.base = arena_der.data();
+  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
+  ref.tbs_off = off(view.tbs_der);
+  ref.tbs_len = static_cast<std::uint32_t>(view.tbs_der.size());
+  ref.sig_off = off(view.signature);
+  ref.sig_len = static_cast<std::uint16_t>(view.signature.size());
+  ref.serial_off = off(view.serial);
+  ref.serial_len = static_cast<std::uint16_t>(view.serial.size());
 
   fps_.insert(fps_.end(), fingerprint.begin(), fingerprint.end());
   refs_.push_back(ref);
 
+  // issuer/subject/url views alias the caller's buffer; interning copies
+  // them.
   issuer_id_.push_back(names_.Intern(view.issuer_der));
   subject_id_.push_back(names_.Intern(view.subject_der));
 
@@ -81,106 +101,15 @@ CertCorpus::Row CertCorpus::Intern(const x509::CertPtr& cert) {
   const Bytes& fp = cert->Fingerprint();
   const Row existing = Find(fp);
   if (existing != kNoRow) return existing;
-
-  const BytesView arena_der = arena_.Copy(cert->der);
-  DerRef ref;
-  ref.base = arena_der.data();
-  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
-
-  if (auto view = x509::ParseCertView(arena_der)) {
-    ref.tbs_off =
-        static_cast<std::uint32_t>(view->tbs_der.data() - arena_der.data());
-    ref.tbs_len = static_cast<std::uint32_t>(view->tbs_der.size());
-    ref.sig_off =
-        static_cast<std::uint32_t>(view->signature.data() - arena_der.data());
-    ref.sig_len = static_cast<std::uint16_t>(view->signature.size());
-    ref.serial_off =
-        static_cast<std::uint32_t>(view->serial.data() - arena_der.data());
-    ref.serial_len = static_cast<std::uint16_t>(view->serial.size());
-    return AppendRow(fp, ref, *view);
-  }
-
-  // Fallback: the DER does not view-parse (hand-built Certificate objects in
-  // tests can carry unparseable bytes). Append the parsed pieces behind the
-  // DER in one stable block and synthesize the view from the parsed object.
-  const Bytes issuer_der = cert->tbs.issuer.Encode();
-  const Bytes subject_der = cert->tbs.subject.Encode();
-  const std::size_t total = cert->der.size() + cert->tbs_der.size() +
-                            cert->signature.size() + cert->tbs.serial.size();
-  std::span<std::uint8_t> block = arena_.Allocate(total);
-  std::uint8_t* p = block.data();
-  auto append = [&p](const Bytes& b) {
-    if (!b.empty()) std::memcpy(p, b.data(), b.size());
-    p += b.size();
-  };
-  // The arena_der copy above is abandoned (a few hundred wasted bytes on a
-  // path only tests hit); the block is self-contained.
-  append(cert->der);
-  append(cert->tbs_der);
-  append(cert->signature);
-  append(cert->tbs.serial);
-
-  ref.base = block.data();
-  ref.der_len = static_cast<std::uint32_t>(cert->der.size());
-  ref.tbs_off = ref.der_len;
-  ref.tbs_len = static_cast<std::uint32_t>(cert->tbs_der.size());
-  ref.sig_off = ref.tbs_off + ref.tbs_len;
-  ref.sig_len = static_cast<std::uint16_t>(cert->signature.size());
-  ref.serial_off = ref.sig_off + ref.sig_len;
-  ref.serial_len = static_cast<std::uint16_t>(cert->tbs.serial.size());
-
-  x509::CertView view;
-  view.der = BytesView{block.data(), ref.der_len};
-  view.tbs_der = BytesView{block.data() + ref.tbs_off, ref.tbs_len};
-  view.signature = BytesView{block.data() + ref.sig_off, ref.sig_len};
-  view.serial = BytesView{block.data() + ref.serial_off, ref.serial_len};
-  view.issuer_der = issuer_der;
-  view.subject_der = subject_der;
-  view.not_before = cert->tbs.not_before;
-  view.not_after = cert->tbs.not_after;
-  view.sig_type = cert->sig_type;
-  view.is_ca = cert->IsCa();
-  view.is_ev = cert->IsEv();
-  for (const std::string& u : cert->tbs.crl_urls) view.crl_urls.push_back(u);
-  for (const std::string& u : cert->tbs.ocsp_urls) view.ocsp_urls.push_back(u);
-  return AppendRow(fp, ref, view);
+  const auto view = x509::ParseCertView(cert->der);
+  return view ? InternView(*view, fp) : kNoRow;
 }
 
 CertCorpus::Row CertCorpus::InternDer(BytesView der) {
-  // Validate against the caller's buffer BEFORE touching any corpus state:
-  // a rejected certificate must leave the store bit-identical.
-  const auto probe = x509::ParseCertView(der);
-  if (!probe) return kNoRow;
-
+  const auto view = x509::ParseCertView(der);
+  if (!view) return kNoRow;
   const crypto::Sha256Digest digest = crypto::Sha256::Hash(der);
-  const BytesView fp{digest.data(), digest.size()};
-  const Row existing = Find(fp);
-  if (existing != kNoRow) return existing;
-
-  const BytesView arena_der = arena_.Copy(der);
-  // Rebase the views onto the arena copy by offset arithmetic — the copy is
-  // byte-identical, so no second parse is needed.
-  const auto off = [&](BytesView field) {
-    return static_cast<std::uint32_t>(field.data() - der.data());
-  };
-  DerRef ref;
-  ref.base = arena_der.data();
-  ref.der_len = static_cast<std::uint32_t>(arena_der.size());
-  ref.tbs_off = off(probe->tbs_der);
-  ref.tbs_len = static_cast<std::uint32_t>(probe->tbs_der.size());
-  ref.sig_off = off(probe->signature);
-  ref.sig_len = static_cast<std::uint16_t>(probe->signature.size());
-  ref.serial_off = off(probe->serial);
-  ref.serial_len = static_cast<std::uint16_t>(probe->serial.size());
-
-  x509::CertView view = *probe;
-  view.der = arena_der;
-  view.tbs_der = BytesView{arena_der.data() + ref.tbs_off, ref.tbs_len};
-  view.signature = BytesView{arena_der.data() + ref.sig_off, ref.sig_len};
-  view.serial = BytesView{arena_der.data() + ref.serial_off, ref.serial_len};
-  // issuer/subject/url views still alias the caller buffer; AppendRow interns
-  // (copies) them, so that is safe.
-  return AppendRow(fp, ref, view);
+  return InternView(*view, digest);
 }
 
 x509::CertPtr CertCorpus::cert(Row r) const {
@@ -200,7 +129,7 @@ x509::CertPtr CertCorpus::cert(Row r) const {
 
 std::vector<CertCorpus::Row> CertCorpus::RowsByFingerprint() const {
   // The sorted order is cached: at paper scale every analysis pass calls
-  // LeafSet(), and re-sorting 38M rows each time would dominate. AppendRow
+  // LeafSet(), and re-sorting 38M rows each time would dominate. InternView
   // invalidates the cache; not safe against concurrent ingest (no reader of
   // this order runs during ingest).
   if (sorted_rows_.size() != size()) {
@@ -240,13 +169,11 @@ bool CertCorpus::CheckInvariants() const {
   for (Row r = 0; r < n; ++r) {
     const DerRef& ref = refs_[r];
     if (ref.base == nullptr || ref.der_len == 0) return false;
-    // tbs/sig/serial must land inside the row's block (der plus any
-    // fallback appendix — offsets are monotone on that path).
-    const std::uint64_t block_end =
-        std::max<std::uint64_t>(ref.der_len,
-                                std::uint64_t{ref.serial_off} + ref.serial_len);
-    if (std::uint64_t{ref.tbs_off} + ref.tbs_len > block_end) return false;
-    if (std::uint64_t{ref.sig_off} + ref.sig_len > block_end) return false;
+    // tbs/sig/serial are ranges inside the row's DER.
+    if (std::uint64_t{ref.tbs_off} + ref.tbs_len > ref.der_len) return false;
+    if (std::uint64_t{ref.sig_off} + ref.sig_len > ref.der_len) return false;
+    if (std::uint64_t{ref.serial_off} + ref.serial_len > ref.der_len)
+      return false;
 
     const crypto::Sha256Digest digest = crypto::Sha256::Hash(der(r));
     if (std::memcmp(digest.data(), fps_.data() + std::size_t{r} * 32, 32) != 0)

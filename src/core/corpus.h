@@ -45,12 +45,12 @@ class CertCorpus {
   using Row = std::uint32_t;
   static constexpr Row kNoRow = 0xFFFF'FFFFu;
 
-  // Interns a parsed certificate (dedup by fingerprint); returns its row.
+  // Single-certificate ingest; both return the row, deduplicated by
+  // fingerprint, or kNoRow with the corpus untouched when the DER does not
+  // view-parse. Intern probes the certificate's cached fingerprint first
+  // and parses only on a miss; InternDer parses, then hashes. Pipeline's
+  // chain entries share the same private routine underneath.
   Row Intern(const x509::CertPtr& cert);
-
-  // Interns raw DER (the streaming-ingest path): view-parses, dedups, and
-  // copies into the arena. Returns kNoRow on malformed input, leaving the
-  // corpus untouched (fuzz-tested invariant).
   Row InternDer(BytesView der);
 
   // Row for a fingerprint, or kNoRow.
@@ -137,8 +137,9 @@ class CertCorpus {
 
   // Lazy materialization -----------------------------------------------------
   // Full Certificate for a row, re-parsed from arena DER and cached.
-  // Thread-safe; returns nullptr only if the stored DER fails the full parse
-  // (cannot happen for rows interned from parsed certificates).
+  // Thread-safe. Every row's DER passed the view parse; returns nullptr only
+  // if it fails the stricter full parse (the view parse checks names only
+  // structurally, so raw DER with a malformed attribute string can get in).
   x509::CertPtr cert(Row r) const;
 
   // All rows sorted by fingerprint bytes — the iteration order of the
@@ -155,18 +156,17 @@ class CertCorpus {
     return names_.arena_bytes() + urls_.arena_bytes();
   }
 
-  // Structural invariants (fingerprints match stored DER, offsets in
-  // bounds, index agrees, columns aligned). O(rows); for tests.
+  // Structural invariants (fingerprints match stored DER, tbs/signature/
+  // serial inside the DER, index agrees, columns aligned). O(rows); for
+  // tests.
   bool CheckInvariants() const;
 
  private:
   static constexpr std::uint8_t kFlagCa = 1;
   static constexpr std::uint8_t kFlagEv = 2;
 
-  // One arena block per row: [der | fallback tbs | fallback sig | fallback
-  // serial]. On the fast path tbs/sig/serial alias ranges *inside* der and
-  // the block is just the DER; the fallback (view-parse failed but a full
-  // parse exists) appends the pieces after it.
+  // One arena block per row holding exactly its DER; tbs/signature/serial
+  // are ranges inside it.
   struct DerRef {
     const std::uint8_t* base = nullptr;
     std::uint32_t der_len = 0;
@@ -183,8 +183,13 @@ class CertCorpus {
     std::uint16_t num_ocsp = 0;
   };
 
-  Row AppendRow(BytesView fingerprint, const DerRef& ref,
-                const x509::CertView& view);
+  // The one intern routine: returns the row for `fingerprint` if present;
+  // else copies `view.der` (whose SHA-256 is `fingerprint`, and from which
+  // `view` was parsed) into the arena, rebases tbs/signature/serial onto
+  // the copy by offset and appends the columns. Pipeline calls it with the
+  // views it kept while validating a whole chain.
+  friend class Pipeline;
+  Row InternView(const x509::CertView& view, BytesView fingerprint);
   UrlRef InternUrlLists(const std::vector<std::uint32_t>& crl_ids,
                         const std::vector<std::uint32_t>& ocsp_ids);
 

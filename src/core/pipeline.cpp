@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <map>
 #include <set>
@@ -35,6 +36,12 @@ obs::Counter& LeavesCounter() {
   return counter;
 }
 
+obs::Counter& RejectedCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "pipeline.observations_rejected");
+  return counter;
+}
+
 obs::Histogram& VerifyHistogram() {
   static obs::Histogram& histogram =
       obs::MetricsRegistry::Global().GetHistogram("pipeline.verify_ns");
@@ -61,44 +68,56 @@ void Pipeline::BeginScan(util::Timestamp t) {
   scan_time_ = t;
 }
 
-CertCorpus::Row Pipeline::Observe(std::span<const x509::CertPtr> chain) {
-  CertCorpus::Row leaf_row = CertCorpus::kNoRow;
+std::optional<CertCorpus::Row> Pipeline::Observe(
+    std::span<const x509::CertPtr> chain) {
+  rows_.assign(chain.size(), CertCorpus::kNoRow);
+  misses_.clear();
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    const x509::CertPtr& cert = chain[i];
-    if (!cert) continue;
-    const CertCorpus::Row row = corpus_.Intern(cert);
-    corpus_.FoldSeen(row, scan_time_);
-    // Count server-observations for the leaf position only (used for
-    // weighted statistics); chain elements are shared.
-    if (i == 0) {
-      leaf_row = row;
-      corpus_.AddLeafObservation(row);
-      if (scan_in_latest_) corpus_.MarkInLatestScan(row);
-    }
+    if (chain[i] && !Probe(i, chain[i]->Fingerprint(), chain[i]->der))
+      return Reject();
   }
-  return leaf_row;
+  return Commit();
 }
 
 std::optional<CertCorpus::Row> Pipeline::ObserveDer(
     std::span<const BytesView> chain) {
-  if (chain.empty()) return std::nullopt;
-  // Validate every element before interning any: a rejected observation
-  // must leave the corpus bit-identical (fuzz-tested), so no element may be
-  // folded before the last one has passed the parse.
-  for (const BytesView der : chain) {
-    if (!x509::ParseCertView(der)) return std::nullopt;
-  }
-  CertCorpus::Row leaf_row = CertCorpus::kNoRow;
+  rows_.assign(chain.size(), CertCorpus::kNoRow);
+  misses_.clear();
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    const CertCorpus::Row row = corpus_.InternDer(chain[i]);
-    corpus_.FoldSeen(row, scan_time_);
-    if (i == 0) {
-      leaf_row = row;
-      corpus_.AddLeafObservation(row);
-      if (scan_in_latest_) corpus_.MarkInLatestScan(row);
-    }
+    const crypto::Sha256Digest digest = crypto::Sha256::Hash(chain[i]);
+    if (!Probe(i, digest, chain[i])) return Reject();
   }
-  return leaf_row;
+  return Commit();
+}
+
+bool Pipeline::Probe(std::size_t i, BytesView fingerprint, BytesView der) {
+  rows_[i] = corpus_.Find(fingerprint);
+  if (rows_[i] != CertCorpus::kNoRow) return true;
+  // A hit needs no parse: its DER is byte-identical to one that passed.
+  auto view = x509::ParseCertView(der);
+  if (!view) return false;
+  Miss& miss = misses_.emplace_back();
+  miss.index = i;
+  assert(fingerprint.size() == miss.fingerprint.size());
+  std::copy_n(fingerprint.begin(), miss.fingerprint.size(),
+              miss.fingerprint.begin());
+  miss.view = *std::move(view);
+  return true;
+}
+
+std::optional<CertCorpus::Row> Pipeline::Commit() {
+  if (rows_.empty()) return Reject();  // no leaf to observe
+  // Every element has passed, so interning may start. A certificate twice
+  // in one chain misses twice; InternView dedups the second.
+  for (const Miss& miss : misses_)
+    rows_[miss.index] = corpus_.InternView(miss.view, miss.fingerprint);
+  ObserveRows(rows_);
+  return rows_[0];
+}
+
+std::optional<CertCorpus::Row> Pipeline::Reject() {
+  RejectedCounter().Increment();
+  return std::nullopt;
 }
 
 void Pipeline::ObserveRows(std::span<const CertCorpus::Row> chain) {
@@ -106,6 +125,8 @@ void Pipeline::ObserveRows(std::span<const CertCorpus::Row> chain) {
     const CertCorpus::Row row = chain[i];
     if (row == CertCorpus::kNoRow) continue;
     corpus_.FoldSeen(row, scan_time_);
+    // Count server-observations for the leaf position only (used for
+    // weighted statistics); chain elements are shared.
     if (i == 0) {
       corpus_.AddLeafObservation(row);
       if (scan_in_latest_) corpus_.MarkInLatestScan(row);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/corpus.h"
+#include "crypto/sha256.h"
 #include "scan/scanner.h"
 #include "util/bytes.h"
 #include "util/time.h"
@@ -41,15 +42,23 @@ class Pipeline {
   // Streaming ingest: fold observations one at a time without materializing
   // a snapshot. Timestamp semantics are identical to IngestScan.
   void BeginScan(util::Timestamp t);
-  // One observation (chain leaf-first); null chain elements are skipped.
-  // Returns the leaf's row (kNoRow for an empty/null-leaf chain).
-  CertCorpus::Row Observe(std::span<const x509::CertPtr> chain);
-  // Raw-DER variant: every element must parse (borrowed-view parse); if any
-  // is malformed the whole observation is rejected (nullopt) and the corpus
-  // is left untouched. This is the path fuzzed in tests/fuzz_test.cpp.
+  // One observation, chain leaf-first. Each element's fingerprint is probed
+  // in the corpus; only a miss is view-parsed, and the views kept from that
+  // parse are what gets interned. If a miss does not parse, or the chain is
+  // empty, the whole observation is rejected: nullopt, the corpus untouched
+  // and pipeline.observations_rejected incremented. Otherwise returns the
+  // leaf's row.
+  //
+  // Two entries, chosen by the input's type. Observe takes parsed
+  // certificates (the simulated scans) and probes their cached
+  // Fingerprint(), so a re-sighting costs no hash; null elements are
+  // skipped (a null leaf returns kNoRow). ObserveDer takes raw DER and
+  // hashes each element to probe. tests/fuzz_test.cpp fuzzes both.
+  std::optional<CertCorpus::Row> Observe(std::span<const x509::CertPtr> chain);
   std::optional<CertCorpus::Row> ObserveDer(std::span<const BytesView> chain);
   // Replay fast path for chains already interned (bench_paper_scale): folds
-  // lifetime/observation columns only.
+  // lifetime/observation columns only, skipping kNoRow elements. Observe
+  // and ObserveDer end here too.
   void ObserveRows(std::span<const CertCorpus::Row> chain);
   void EndScan();
 
@@ -89,6 +98,20 @@ class Pipeline {
   double verify_wall_seconds() const { return verify_wall_seconds_; }
 
  private:
+  // A chain element whose fingerprint missed, between validation and
+  // interning.
+  struct Miss {
+    std::size_t index = 0;
+    crypto::Sha256Digest fingerprint{};
+    x509::CertView view;
+  };
+  // Sets rows_[i] to the row of `fingerprint`; on a miss view-parses `der`
+  // into misses_ instead. False iff that parse fails.
+  bool Probe(std::size_t i, BytesView fingerprint, BytesView der);
+  // Interns misses_, folds rows_ and returns the leaf's row.
+  std::optional<CertCorpus::Row> Commit();
+  std::optional<CertCorpus::Row> Reject();
+
   x509::CertPool roots_;
   CertCorpus corpus_;
   std::vector<x509::CertPtr> intermediate_set_;
@@ -101,6 +124,9 @@ class Pipeline {
   double finalize_wall_seconds_ = 0;
   double intermediate_wall_seconds_ = 0;
   double verify_wall_seconds_ = 0;
+  // Per-observation scratch, reused so that re-sightings allocate nothing.
+  std::vector<CertCorpus::Row> rows_;
+  std::vector<Miss> misses_;
 };
 
 }  // namespace rev::core

@@ -289,7 +289,7 @@ TEST(Corpus, RowIdsAndViewsStableAcrossIngest) {
   const util::Timestamp t = util::MakeDate(2014, 1, 1);
   const x509::CertPtr first = MakeTestLeaf("stable.sim");
   pipeline.BeginScan(t);
-  const CertCorpus::Row row = pipeline.Observe({&first, 1});
+  const CertCorpus::Row row = pipeline.Observe({&first, 1}).value();
   pipeline.EndScan();
   ASSERT_NE(row, CertCorpus::kNoRow);
 
@@ -332,7 +332,7 @@ TEST(Corpus, ObserveDerMatchesObserve) {
   from_certs.BeginScan(t);
   from_der.BeginScan(t);
   for (const x509::CertPtr& leaf : leaves) {
-    const CertCorpus::Row row = from_certs.Observe({&leaf, 1});
+    const CertCorpus::Row row = from_certs.Observe({&leaf, 1}).value();
     const BytesView der(leaf->der);
     const auto der_row = from_der.ObserveDer({&der, 1});
     ASSERT_TRUE(der_row.has_value());
@@ -377,12 +377,33 @@ TEST(Corpus, ObserveDerMatchesObserve) {
   EXPECT_TRUE(b.CheckInvariants());
 }
 
+// The single-certificate entries share the chain entries' intern routine:
+// they dedup across each other, and DER that does not view-parse is
+// rejected (kNoRow), leaving the corpus unchanged.
+TEST(Corpus, SingleCertInternDedupsAndRejects) {
+  const x509::CertPtr leaf = MakeTestLeaf("single.sim");
+  x509::Certificate hand_built = *x509::ParseCertificate(leaf->der);
+  hand_built.der.resize(hand_built.der.size() / 2);
+  const x509::CertPtr bad =
+      std::make_shared<const x509::Certificate>(std::move(hand_built));
+
+  CertCorpus corpus;
+  const CertCorpus::Row row = corpus.Intern(leaf);
+  ASSERT_EQ(row, 0u);
+  EXPECT_EQ(corpus.InternDer(leaf->der), row);
+  EXPECT_EQ(corpus.Intern(leaf), row);
+  EXPECT_EQ(corpus.Intern(bad), CertCorpus::kNoRow);
+  EXPECT_EQ(corpus.InternDer(bad->der), CertCorpus::kNoRow);
+  EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_TRUE(corpus.CheckInvariants());
+}
+
 // Lazy materialization re-parses the arena DER into the same certificate.
 TEST(Corpus, LazyCertMatchesSource) {
   Pipeline pipeline{x509::CertPool{}};
   const x509::CertPtr leaf = MakeTestLeaf("lazy.sim");
   pipeline.BeginScan(util::MakeDate(2014, 1, 1));
-  const CertCorpus::Row row = pipeline.Observe({&leaf, 1});
+  const CertCorpus::Row row = pipeline.Observe({&leaf, 1}).value();
   pipeline.EndScan();
 
   const x509::CertPtr parsed = pipeline.corpus().cert(row);

@@ -11,20 +11,22 @@
 #include "core/pipeline.h"
 #include "crl/crl.h"
 #include "crlset/crlset.h"
+#include "obs/metrics.h"
 #include "ocsp/ocsp.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
+#include "x509/view.h"
 
 namespace rev {
 namespace {
 
 constexpr util::Timestamp kNow = 1'420'000'000;
 
-Bytes ValidCertDer() {
+Bytes ValidCertDer(const std::string& cn = "www.fuzz.sim") {
   x509::TbsCertificate tbs;
   tbs.serial = x509::Serial{0x01, 0x02, 0x03};
   tbs.issuer = x509::Name::Make("Fuzz CA", "Fuzz");
-  tbs.subject = x509::Name::FromCommonName("www.fuzz.sim");
+  tbs.subject = x509::Name::FromCommonName(cn);
   tbs.not_before = kNow - 1000;
   tbs.not_after = kNow + 1000;
   tbs.public_key = crypto::SimKeyFromLabel("fuzz-leaf").Public();
@@ -264,14 +266,20 @@ TEST_P(FuzzSeeds, PureGarbageRejected) {
   }
 }
 
-// Mutated/truncated DER through the streaming corpus ingest: a rejected
-// observation must leave the columnar store bit-identical — no partial
-// interning, no arena corruption. CheckInvariants() re-derives every
-// fingerprint from the arena and re-probes the index, so it would catch a
-// torn row immediately.
+// Mutated/truncated DER through both streaming corpus entries (raw DER and
+// parsed certificates): a rejected observation must leave the columnar
+// store bit-identical — no partial interning, no fold, no arena corruption
+// — and count once in pipeline.observations_rejected. CheckInvariants()
+// re-derives every fingerprint from the arena and re-probes the index, so
+// it would catch a torn row immediately.
 TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 48611 + 3);
   const Bytes valid = ValidCertDer();
+  const obs::Counter& rejected_counter =
+      obs::MetricsRegistry::Global().GetCounter(
+          "pipeline.observations_rejected");
+  const std::uint64_t rejected_before = rejected_counter.Value();
+  std::uint64_t rejected = 0;
 
   core::Pipeline pipeline{x509::CertPool{}};
   pipeline.BeginScan(kNow);
@@ -291,6 +299,7 @@ TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
     if (row.has_value()) {
       ++accepted;  // structurally valid mutant (e.g. unsigned-field tweak)
     } else {
+      ++rejected;
       ASSERT_EQ(corpus.size(), size_before);
     }
     ASSERT_TRUE(corpus.CheckInvariants()) << "after mutant " << i;
@@ -298,14 +307,42 @@ TEST_P(FuzzSeeds, StreamingIngestRejectsWithoutCorpusCorruption) {
   EXPECT_GE(corpus.size(), 1u);
   EXPECT_LE(corpus.size(), accepted);
 
-  // Multi-element chains are all-or-nothing: one bad element rejects the
-  // whole observation even when the others are pristine.
-  Bytes truncated(valid.begin(), valid.begin() + valid.size() / 2);
+  // Multi-element chains are all-or-nothing, through both entries: one bad
+  // element rejects the whole observation even when the other is pristine,
+  // whether already interned (`valid`) or new (`fresh`). For the parsed-
+  // certificate entry the bad element is a hand-built Certificate whose DER
+  // does not view-parse.
+  const Bytes fresh = ValidCertDer("fresh.fuzz.sim");
+  const Bytes truncated(valid.begin(), valid.begin() + valid.size() / 2);
+  x509::Certificate hand_built = *x509::ParseCertificate(valid);
+  hand_built.der = truncated;
+  ASSERT_FALSE(x509::ParseCertView(hand_built.der).has_value());
+  const x509::CertPtr bad =
+      std::make_shared<const x509::Certificate>(std::move(hand_built));
   const std::size_t size_before = corpus.size();
-  const BytesView chain[2] = {BytesView(valid), BytesView(truncated)};
-  EXPECT_FALSE(pipeline.ObserveDer(chain).has_value());
+  const std::uint64_t observations_before = corpus.observations(0);
+  for (const Bytes* pristine : {&valid, &fresh}) {
+    const BytesView der_chain[2] = {BytesView(*pristine), BytesView(truncated)};
+    EXPECT_FALSE(pipeline.ObserveDer(der_chain).has_value());
+    const x509::CertPtr cert_chain[2] = {
+        std::make_shared<const x509::Certificate>(
+            *x509::ParseCertificate(*pristine)),
+        bad};
+    EXPECT_FALSE(pipeline.Observe(cert_chain).has_value());
+    rejected += 2;
+  }
+  EXPECT_FALSE(pipeline.Observe({&bad, 1}).has_value());
+  ++rejected;
   EXPECT_EQ(corpus.size(), size_before);
+  EXPECT_EQ(corpus.observations(0), observations_before);
   EXPECT_TRUE(corpus.CheckInvariants());
+  EXPECT_EQ(rejected_counter.Value() - rejected_before, rejected);
+
+  // Accepted observations leave the counter alone.
+  const x509::CertPtr good =
+      std::make_shared<const x509::Certificate>(*x509::ParseCertificate(valid));
+  EXPECT_TRUE(pipeline.Observe({&good, 1}).has_value());
+  EXPECT_EQ(rejected_counter.Value() - rejected_before, rejected);
   pipeline.EndScan();
 }
 
