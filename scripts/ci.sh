@@ -4,11 +4,11 @@
 # the thread pool, the parallel pipeline/crawler, the serving frontend,
 # and the metrics/trace instruments (tests + a small bench_serve load) —
 # then an AddressSanitizer + UndefinedBehaviorSanitizer pass over the
-# parsers, the corpus arena and the serving/distribution suites, then an
-# observability smoke: bench_serve must answer GET /metrics and
-# land the registry snapshot in BENCH_serve.json, plus a QPS-regression
-# smoke against the baseline committed in BENCH_serve.json. Fails on any
-# ctest regression, TSan/ASan/UBSan report, or QPS collapse.
+# parsers, the corpus arena, the serving/distribution suites, the crawler
+# storm and the CA, then an observability smoke: bench_serve must answer
+# GET /metrics and land the registry snapshot in BENCH_serve.json, plus a
+# QPS-regression smoke against the baseline committed in BENCH_serve.json.
+# Fails on any ctest regression, TSan/ASan/UBSan report, or QPS collapse.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,24 +57,32 @@ fleet_tsan_dir=$(mktemp -d)
 rm -rf "$fleet_tsan_dir"
 # Small closed-loop load under TSan: races between concurrent Serve(),
 # observer-driven invalidation, batch refresh, and the lock-free latency
-# histogram surface here.
-REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
-  REV_SERVE_FLOOR=0 ./build-tsan/bench/bench_serve > /dev/null || {
-    echo "bench_serve under TSan failed" >&2; exit 1; }
+# histogram surface here. It runs in a scratch directory because
+# bench_serve writes BENCH_serve.json into its working directory, which in
+# the repo root would overwrite the committed baseline.
+serve_tsan_dir=$(mktemp -d)
+( cd "$serve_tsan_dir" &&
+  REV_SERVE_CERTS=2000 REV_SERVE_OPS=2000 REV_SERVE_THREADS=4 \
+    REV_SERVE_FLOOR=0 "$OLDPWD"/build-tsan/bench/bench_serve > /dev/null ) || {
+      echo "bench_serve under TSan failed" >&2; exit 1; }
+rm -rf "$serve_tsan_dir"
 
-echo "== ASan + UBSan: parsers, corpus arena, serving, distribution =="
+echo "== ASan + UBSan: parsers, corpus arena, serving, distribution, crawler, CA =="
 # A separate tree built through the plain CMake flag variables. The DER
 # parsers and the corpus's arena rebasing are pointer arithmetic over
 # untrusted bytes (the fuzz suite feeds them mutants), which ASan bounds-
 # checks; UBSan reports are made fatal so they fail CI like ASan's, and
 # libstdc++'s assertions bounds-check container indexing as well.
+# The chaos and CA suites cover the crawler's incremental merge, whose
+# snapshot diff holds views into the previous CRL's serial bytes, and the
+# CA's shard buckets, which point into its issued-certificate map.
 san_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 san_flags="$san_flags -D_GLIBCXX_ASSERTIONS"
 cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="$san_flags -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 asan_suites=(asn1 x509 crl ocsp crypto util fuzz property corpus serve cascade
-             fleet)
+             fleet chaos ca)
 cmake --build build-asan -j"$(nproc)" --target "${asan_suites[@]/%/_test}"
 for suite in "${asan_suites[@]}"; do
   ./build-asan/tests/"${suite}"_test --gtest_brief=1 || {
@@ -147,4 +155,4 @@ print(f"slo: {slo['alerts']} alerts, all in the storm phase: ok")
 PY
 rm -rf "$fleet_dir"
 
-echo "ci OK (tier-1 + TSan: unit suites, obs suite, serve stress, fleet suite + soak, ASan + UBSan: 12 suites, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"
+echo "ci OK (tier-1 + TSan: unit suites, obs suite, serve stress, fleet suite + soak, ASan + UBSan: 14 suites, bench_serve load + /metrics smoke + QPS regression + fleet zero-wrong-answers + slo burn-rate gates)"

@@ -152,7 +152,7 @@ bool CertificateAuthority::Revoke(const x509::Serial& serial,
   ++revoked_count_;
   responder_->Revoke(serial, when, reason);
   const auto shard = static_cast<std::size_t>(ShardForSerial(serial));
-  shard_revoked_[shard].push_back(serial);
+  shard_revoked_[shard].push_back(&*it);
   shards_[shard].dirty = true;
   return true;
 }
@@ -176,14 +176,14 @@ void CertificateAuthority::SetShardWeights(std::vector<double> weights) {
   }
   shard_cumulative_.back() = 1.0;
   // Shard assignment changed: re-bucket revocations and rebuild all CRLs.
-  std::vector<x509::Serial> all_revoked;
+  std::vector<const IssuedEntry*> all_revoked;
   for (auto& bucket : shard_revoked_) {
     all_revoked.insert(all_revoked.end(), bucket.begin(), bucket.end());
     bucket.clear();
   }
-  for (x509::Serial& serial : all_revoked) {
-    const auto shard = static_cast<std::size_t>(ShardForSerial(serial));
-    shard_revoked_[shard].push_back(std::move(serial));
+  for (const IssuedEntry* entry : all_revoked) {
+    const auto shard = static_cast<std::size_t>(ShardForSerial(entry->first));
+    shard_revoked_[shard].push_back(entry);
   }
   for (ShardState& shard : shards_) shard.dirty = true;
 }
@@ -221,8 +221,9 @@ void CertificateAuthority::AddSyntheticRevocations(
     record.revoked_at =
         rng.UniformInt(revoked_between_start, revoked_between_end);
     record.reason = reason;
-    issued_.emplace(serial, record);
-    shard_revoked_[static_cast<std::size_t>(ShardForSerial(serial))].push_back(serial);
+    const IssuedEntry& entry = *issued_.emplace(serial, record).first;
+    shard_revoked_[static_cast<std::size_t>(ShardForSerial(serial))].push_back(
+        &entry);
     ++revoked_count_;
   }
   for (ShardState& shard : shards_) shard.dirty = true;
@@ -243,8 +244,9 @@ void CertificateAuthority::RebuildCrl(int shard, util::Timestamp now) {
   tbs.this_update = now;
   tbs.next_update = now + options_.crl_validity_seconds;
   tbs.crl_number = ++state.crl_number;
-  for (const x509::Serial& serial : shard_revoked_[static_cast<std::size_t>(shard)]) {
-    const IssuedRecord& record = issued_.at(serial);
+  for (const IssuedEntry* entry :
+       shard_revoked_[static_cast<std::size_t>(shard)]) {
+    const auto& [serial, record] = *entry;
     // Revocations scheduled for the future (the ecosystem generator plans
     // whole timelines up front) have not happened yet.
     if (record.revoked_at > now) continue;

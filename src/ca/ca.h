@@ -162,11 +162,17 @@ class CertificateAuthority {
                                x509::ReasonCode reason);
 
  private:
+  using IssuedMap = std::map<x509::Serial, IssuedRecord>;
+  using IssuedEntry = IssuedMap::value_type;
+
   std::vector<double> shard_cumulative_;  // empty = uniform hashing
-  std::map<x509::Serial, IssuedRecord> issued_;
-  // Revoked serials bucketed by shard, so CRL rebuilds touch only their own
-  // shard's entries instead of every issued certificate.
-  std::vector<std::vector<x509::Serial>> shard_revoked_;
+  IssuedMap issued_;
+  // Revoked records bucketed by shard, so CRL rebuilds touch only their own
+  // shard's entries instead of every issued certificate. The buckets point
+  // straight at issued_'s nodes: std::map never moves a node, and issued_
+  // is never erased from, so the pointers stay valid for the CA's lifetime
+  // and a rebuild needs no per-entry lookup.
+  std::vector<std::vector<const IssuedEntry*>> shard_revoked_;
   std::size_t revoked_count_ = 0;
   std::uint64_t serial_counter_ = 0;
 

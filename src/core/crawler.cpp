@@ -1,6 +1,9 @@
 #include "core/crawler.h"
 
 #include <chrono>
+#include <functional>
+#include <numeric>
+#include <string_view>
 
 #include "net/retry.h"
 #include "net/url.h"
@@ -24,6 +27,8 @@ struct CrawlMetrics {
   obs::Counter& ocsp_queries;
   obs::Counter& retries;
   obs::Counter& stale_served;
+  obs::Counter& entries_known;
+  obs::Counter& entries_merged;
   obs::Histogram& fetch_ns;
 
   static CrawlMetrics& Get() {
@@ -38,12 +43,62 @@ struct CrawlMetrics {
           registry.GetCounter("crawl.ocsp_queries"),
           registry.GetCounter("crawl.retries"),
           registry.GetCounter("crawl.stale_served"),
+          registry.GetCounter("crawl.entries_known"),
+          registry.GetCounter("crawl.entries_merged"),
           registry.GetHistogram("crawl.fetch_ns"),
       };
     }();
     return *metrics;
   }
 };
+
+std::string_view SerialKey(const x509::Serial& serial) {
+  return {reinterpret_cast<const char*>(serial.data()), serial.size()};
+}
+
+// Indices of the entries of `fresh` that need an Insert: those the URL's
+// last good snapshot did not list, or all of them when there is no
+// snapshot or its issuer differs.
+//
+// Why skipping the rest is exact: every entry of a kept snapshot was passed
+// to RevocationDb::Insert under the snapshot's issuer when that snapshot
+// was merged, and the database is insert-only with the first sighting
+// winning. So an Insert of (same issuer, listed serial) would find the key
+// and return false; skipping it leaves the database, the new-entry count
+// and every counter exactly as merging the whole CRL would. Serials are
+// looked up in a hash table, so the diff does not depend on entry order.
+// The snapshot must be the last *good* one (a failed day keeps it), not
+// the last fetch.
+std::vector<std::uint32_t> UnlistedEntries(const crl::Crl& fresh,
+                                           const Bytes& issuer_name_der,
+                                           const CrawledCrl* snapshot) {
+  const std::vector<crl::CrlEntry>& entries = fresh.tbs.entries;
+  std::vector<std::uint32_t> unlisted;
+  if (snapshot == nullptr || snapshot->issuer_name_der != issuer_name_der) {
+    unlisted.resize(entries.size());
+    std::iota(unlisted.begin(), unlisted.end(), 0u);
+    return unlisted;
+  }
+  // The snapshot's serials in an open-addressing table (linear probing,
+  // load <= 1/2), so a diff allocates once rather than once per entry. A
+  // view with null data marks a free slot; a serial that itself has null
+  // data is then never found, and merging it is still exact.
+  const std::vector<crl::CrlEntry>& listed = snapshot->crl.tbs.entries;
+  std::size_t mask = 15;
+  while (mask + 1 < 2 * listed.size()) mask = 2 * mask + 1;
+  std::vector<std::string_view> slots(mask + 1);
+  const auto slot_of = [&](std::string_view key) -> std::string_view& {
+    std::size_t i = std::hash<std::string_view>{}(key) & mask;
+    while (slots[i].data() != nullptr && slots[i] != key) i = (i + 1) & mask;
+    return slots[i];
+  };
+  for (const crl::CrlEntry& entry : listed)
+    slot_of(SerialKey(entry.serial)) = SerialKey(entry.serial);
+  for (std::uint32_t k = 0; k < entries.size(); ++k)
+    if (slot_of(SerialKey(entries[k].serial)).data() == nullptr)
+      unlisted.push_back(k);
+  return unlisted;
+}
 
 }  // namespace
 
@@ -91,13 +146,16 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
   obs::Span visit_span("crawl.visit");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Phase 1 — fan out: fetch + parse every URL, one slot per URL. Workers
-  // touch only their own slot; the cache, the simulated network, and the
-  // crawler state they share are either internally synchronized (client_,
-  // net_) or not written until the merge below.
+  // Phase 1 — fan out: fetch, parse and diff every URL, one slot per URL.
+  // Workers touch only their own slot; the cache and the simulated network
+  // are internally synchronized (client_, net_), and crawled_ is only read
+  // here (each worker its own URL's snapshot) and not written until the
+  // merge below.
   struct Outcome {
     net::CachingClient::Result result;
     std::optional<crl::Crl> parsed;
+    Bytes issuer_name_der;
+    std::vector<std::uint32_t> unlisted;  // see UnlistedEntries
   };
   const std::vector<std::string> urls(urls_.begin(), urls_.end());
   std::vector<Outcome> outcomes(urls.size());
@@ -107,13 +165,25 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
     const auto fetch_start = std::chrono::steady_clock::now();
     Outcome& out = outcomes[i];
     // The parse-as-validator makes truncated/bit-corrupted bodies
-    // retryable and keeps them out of the HTTP cache.
+    // retryable and keeps them out of the HTTP cache. Its parse is kept:
+    // when a network fetch ends ok, the validator's last call accepted
+    // exactly that body. A cache hit skips the validator, so parse it here.
     out.result = client_.Get(urls[i], now, retry_policy_,
-                             [](const net::HttpResponse& response) {
-                               return crl::ParseCrl(response.body).has_value();
+                             [&out](const net::HttpResponse& response) {
+                               out.parsed = crl::ParseCrl(response.body);
+                               return out.parsed.has_value();
                              });
-    if (out.result.fetch.ok())
+    if (!out.result.fetch.ok())
+      out.parsed.reset();
+    else if (out.result.from_cache)
       out.parsed = crl::ParseCrl(out.result.fetch.response.body);
+    if (out.parsed) {
+      out.issuer_name_der = out.parsed->tbs.issuer.Encode();
+      const auto snapshot = crawled_.find(urls[i]);
+      out.unlisted = UnlistedEntries(
+          *out.parsed, out.issuer_name_der,
+          snapshot == crawled_.end() ? nullptr : &snapshot->second);
+    }
     CrawlMetrics::Get().fetch_ns.RecordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       fetch_start)
@@ -123,8 +193,11 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
   // Phase 2 — deterministic merge in URL-sorted order (the order the old
   // serial loop used): counter accumulation (including the floating-point
   // seconds sum) and revocation-DB insertion are byte-identical to the
-  // serial run at any thread count.
+  // serial run at any thread count. Only the entries phase 1 found missing
+  // from a URL's snapshot reach the database.
   std::size_t new_entries = 0;
+  std::uint64_t entries_known = 0;
+  std::uint64_t entries_merged = 0;
   CrawlMetrics& metrics = CrawlMetrics::Get();
   for (std::size_t i = 0; i < urls.size(); ++i) {
     const std::string& url = urls[i];
@@ -166,7 +239,7 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
 
     CrawledCrl& crawled = crawled_[url];
     crawled.url = url;
-    crawled.issuer_name_der = parsed.tbs.issuer.Encode();
+    crawled.issuer_name_der = std::move(out.issuer_name_der);
     crawled.size_bytes = parsed.der.size();
     crawled.num_entries = parsed.tbs.entries.size();
     crawled.this_update = parsed.tbs.this_update;
@@ -175,7 +248,10 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
     crawled.stale_age_seconds = 0;
     crawled.last_good_fetch = now;
 
-    for (const crl::CrlEntry& entry : parsed.tbs.entries) {
+    entries_merged += out.unlisted.size();
+    entries_known += parsed.tbs.entries.size() - out.unlisted.size();
+    for (const std::uint32_t k : out.unlisted) {
+      const crl::CrlEntry& entry = parsed.tbs.entries[k];
       RevocationInfo info;
       info.revoked_at = entry.revocation_date;
       info.reason = entry.reason;
@@ -186,6 +262,8 @@ std::size_t RevocationCrawler::CrawlAll(util::Timestamp now) {
     crawled.crl = std::move(parsed);
   }
   metrics.revocations.Add(new_entries);
+  metrics.entries_known.Add(entries_known);
+  metrics.entries_merged.Add(entries_merged);
   crawl_wall_seconds_ += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
@@ -215,10 +293,12 @@ std::optional<ocsp::CertStatus> RevocationCrawler::QueryOcsp(
     const net::FetchResult& fetch = retried.fetch;
     if (!fetch.ok()) {
       ++fetch_failures_;
+      CrawlMetrics::Get().fetch_fail.Increment();
       ++url_failures_[url];
       continue;
     }
     bytes_downloaded_ += fetch.response.body.size();
+    CrawlMetrics::Get().bytes_downloaded.Add(fetch.response.body.size());
     auto response = ocsp::ParseOcspResponse(fetch.response.body);
     if (!response || response->status != ocsp::ResponseStatus::kSuccessful)
       continue;

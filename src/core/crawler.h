@@ -7,6 +7,9 @@
 // merges the per-URL results into `crawled_` / the revocation database in
 // URL-sorted order, so the database, the counters, and the Fig. 5/6/9
 // series are byte-identical at every thread count (docs/parallelism.md).
+// The merge is incremental: each worker also diffs its CRL against the
+// URL's last good snapshot, and only the entries that snapshot lacked are
+// inserted — exact, because the database is insert-only.
 #pragma once
 
 #include <map>

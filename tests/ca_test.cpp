@@ -205,6 +205,53 @@ TEST(Ca, SkewedShardWeights) {
   EXPECT_GT(shard0, 250);
 }
 
+// Reweighting after revocations exist re-buckets them: every shard's CRL
+// must then list exactly the revoked, unexpired serials that now hash to
+// it, with their own revocation time and reason.
+TEST(Ca, ReweightRebucketsExistingRevocations) {
+  util::Rng rng(12);
+  auto root = MakeRoot(rng, /*shards=*/4);
+  CertificateAuthority::IssueOptions issue;
+  issue.common_name = "rb.sim";
+  issue.not_before = kNow - 30 * kDay;
+  for (int i = 0; i < 400; ++i) {
+    issue.lifetime_seconds = (i % 5 == 0 ? 40 : 400) * kDay;
+    const x509::CertPtr leaf = root->Issue(issue, rng);
+    ASSERT_TRUE(root->Revoke(leaf->tbs.serial, kNow - i * 60,
+                             i % 2 ? x509::ReasonCode::kKeyCompromise
+                                   : x509::ReasonCode::kSuperseded));
+  }
+  root->AddSyntheticRevocations(300, rng, kNow - 100 * kDay, kNow,
+                                kNow + 5 * kDay, kNow + kYear,
+                                x509::ReasonCode::kCessationOfOperation);
+  for (int shard = 0; shard < 4; ++shard) root->GetCrl(shard, kNow);
+  root->SetShardWeights({0.7, 0.2, 0.05, 0.05});
+
+  const util::Timestamp at = kNow + 20 * kDay;  // a fifth of leaves expired
+  std::vector<std::map<x509::Serial, CertificateAuthority::RevocationRecord>>
+      expected(4);
+  const auto current = root->CurrentRevocations(at);
+  for (const auto& record : current)
+    expected[static_cast<std::size_t>(root->ShardForSerial(record.serial))]
+        .emplace(record.serial, record);
+  std::size_t total = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    const crl::Crl& crl = root->GetCrl(shard, at);
+    const auto& want = expected[static_cast<std::size_t>(shard)];
+    EXPECT_EQ(crl.tbs.entries.size(), want.size()) << "shard " << shard;
+    for (const crl::CrlEntry& entry : crl.tbs.entries) {
+      const auto it = want.find(entry.serial);
+      ASSERT_NE(it, want.end()) << "shard " << shard;
+      EXPECT_EQ(entry.revocation_date, it->second.revoked_at);
+      EXPECT_EQ(entry.reason, it->second.reason);
+    }
+    total += crl.tbs.entries.size();
+  }
+  EXPECT_EQ(total, current.size());
+  EXPECT_LT(current.size(), 700u);  // expiry dropped some
+  EXPECT_GT(expected[0].size(), expected[3].size());  // the weights took
+}
+
 TEST(Ca, SyntheticRevocationsPopulateCrl) {
   util::Rng rng(11);
   auto root = MakeRoot(rng);

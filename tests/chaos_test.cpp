@@ -23,11 +23,14 @@
 #include "core/crawler.h"
 #include "core/ecosystem.h"
 #include "core/pipeline.h"
+#include "crl/crl.h"
 #include "net/cache.h"
 #include "net/fault.h"
 #include "net/retry.h"
+#include "obs/metrics.h"
 #include "ocsp/ocsp.h"
 #include "ocsp/responder.h"
+#include "scan/internet.h"
 #include "scan/scanner.h"
 #include "serve/frontend.h"
 #include "util/rng.h"
@@ -189,6 +192,116 @@ TEST(ChaosStorm, DeterministicAcrossThreadCountsAndRuns) {
 
   expect_identical(serial, parallel);  // threads=1 vs threads=8
   expect_identical(parallel, replay);  // same seed, run twice
+}
+
+// ------------------------------------------ incremental merge exactness ----
+
+// CrawlAll merges only the entries a URL's last good snapshot lacked. The
+// reference below merges the old way — every entry of every CRL that the
+// day's crawl accepted, in URL order — and the two databases must match
+// day by day through the storm, bit-flipped bodies that still parse
+// included. One host swaps from one CA's CRL to another's mid-crawl; the
+// twin CAs share a seed, so their serials collide and only the issuer
+// tells the two CRLs apart.
+TEST(ChaosStorm, IncrementalMergeMatchesFullReference) {
+  constexpr int kDays = 30;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::EcosystemConfig config;
+    config.scale = 0.001;
+    config.seed = 11;
+    std::unique_ptr<core::Ecosystem> eco = core::Ecosystem::Build(config);
+    const core::EcosystemConfig& c = eco->config();
+    net::SimNet& net = eco->net();
+
+    std::vector<std::unique_ptr<ca::CertificateAuthority>> twins;
+    for (const char* name : {"Twin A", "Twin B"}) {
+      util::Rng rng(99);  // same seed: same serials in both CAs
+      ca::CertificateAuthority::Options options;
+      options.name = name;
+      options.domain = "twin.sim";
+      twins.push_back(ca::CertificateAuthority::CreateRoot(
+          options, rng, c.crawl_start - 400 * kDay));
+      for (int i = 0; i < kDays; ++i) {
+        ca::CertificateAuthority::IssueOptions issue;
+        issue.common_name = "twin" + std::to_string(i) + ".sim";
+        issue.not_before = c.crawl_start - 30 * kDay;
+        const x509::CertPtr leaf = twins.back()->Issue(issue, rng);
+        ASSERT_TRUE(twins.back()->Revoke(leaf->tbs.serial,
+                                         c.crawl_start + i * kDay - 3600,
+                                         x509::ReasonCode::kSuperseded));
+      }
+    }
+    const std::string twin_url = twins[0]->CrlUrl(0);
+    twins[0]->RegisterEndpoints(&net);
+
+    net::FaultPlan plan(StormSeed());
+    AddStormRules(plan, c.crawl_start);
+    net.SetFaultPlan(&plan);
+
+    core::RevocationCrawler crawler(&net, threads);
+    const scan::Internet& internet = eco->internet();
+    for (std::size_t i = 0; i < internet.size(); ++i) {
+      const scan::Server& server = internet.server(i);
+      for (const std::string& url : server.leaf->tbs.crl_urls)
+        crawler.AddUrl(url);
+      for (const x509::CertPtr& cert : server.chain)
+        if (cert)
+          for (const std::string& url : cert->tbs.crl_urls) crawler.AddUrl(url);
+    }
+    crawler.AddUrl(twin_url);
+
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    obs::Counter& known = registry.GetCounter("crawl.entries_known");
+    obs::Counter& merged = registry.GetCounter("crawl.entries_merged");
+    core::RevocationDb reference;
+    for (int day = 0; day < kDays; ++day) {
+      SCOPED_TRACE("day " + std::to_string(day));
+      if (day == kDays / 2)  // same domain: re-registers the host
+        twins[1]->RegisterEndpoints(&net);
+      const util::Timestamp t = c.crawl_start + day * kDay;
+      const std::uint64_t known_before = known.Value();
+      const std::uint64_t merged_before = merged.Value();
+      const std::size_t discovered = crawler.CrawlAll(t);
+
+      std::size_t expected = 0;
+      std::uint64_t accepted_entries = 0;
+      for (const auto& [url, snapshot] : crawler.crawled()) {
+        if (snapshot.stale || snapshot.last_good_fetch != t) continue;
+        const Bytes issuer = snapshot.crl.tbs.issuer.Encode();
+        for (const crl::CrlEntry& entry : snapshot.crl.tbs.entries) {
+          expected += reference.Insert(
+              issuer, entry.serial,
+              {.revoked_at = entry.revocation_date,
+               .reason = entry.reason,
+               .first_seen_in_crl = t});
+        }
+        accepted_entries += snapshot.crl.tbs.entries.size();
+      }
+      ASSERT_EQ(discovered, expected);
+      ASSERT_EQ(crawler.db().size(), reference.size());
+      EXPECT_EQ(known.Value() - known_before + merged.Value() - merged_before,
+                accepted_entries);
+      EXPECT_GE(merged.Value() - merged_before, discovered);
+    }
+    net.SetFaultPlan(nullptr);
+
+    // The storm stormed, and the swap happened.
+    EXPECT_GT(plan.injected(net::FaultKind::kCorrupt), 0u);
+    EXPECT_GT(crawler.stale_served(), 0u);
+    ASSERT_TRUE(crawler.crawled().contains(twin_url));
+    EXPECT_EQ(crawler.crawled().at(twin_url).issuer_name_der,
+              twins[1]->cert()->tbs.subject.Encode());
+
+    auto got = crawler.db().entries().begin();
+    for (const auto& [key, info] : reference.entries()) {
+      ASSERT_EQ(got->first, key);
+      EXPECT_EQ(got->second.revoked_at, info.revoked_at);
+      EXPECT_EQ(got->second.reason, info.reason);
+      EXPECT_EQ(got->second.first_seen_in_crl, info.first_seen_in_crl);
+      ++got;
+    }
+  }
 }
 
 // ---------------------------------------------------- flapping recovery ----

@@ -3,6 +3,7 @@
 // small but fully wired synthetic PKI.
 #include <gtest/gtest.h>
 
+#include "ca/ca.h"
 #include "core/ca_audit.h"
 #include "core/crawler.h"
 #include "crypto/signer.h"
@@ -12,6 +13,8 @@
 #include "core/report.h"
 #include "core/stapling_audit.h"
 #include "core/timeline.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace rev::core {
 namespace {
@@ -263,6 +266,55 @@ TEST(Crawler, OcspQueryPath) {
     }
   }
   FAIL() << "no OCSP-capable leaf found";
+}
+
+// The process-wide registry counters and the crawler's own accessors move
+// together on both paths that spend bandwidth or fail: the CRL crawl and
+// OCSP queries, successful and failed.
+TEST(Crawler, RegistryCountersTrackAccessorsThroughOcsp) {
+  const util::Timestamp now = util::MakeDate(2014, 6, 1);
+  util::Rng rng(21);
+  ca::CertificateAuthority::Options options;
+  options.name = "Registry";
+  options.domain = "registry.sim";
+  auto root =
+      ca::CertificateAuthority::CreateRoot(options, rng, now - 400 * kDay);
+  net::SimNet net;
+  root->RegisterEndpoints(&net);
+  ca::CertificateAuthority::IssueOptions issue;
+  issue.common_name = "registry-leaf.sim";
+  issue.not_before = now - 30 * kDay;
+  const x509::CertPtr leaf = root->Issue(issue, rng);
+  ASSERT_TRUE(root->Revoke(leaf->tbs.serial, now - kDay,
+                           x509::ReasonCode::kUnspecified));
+
+  RevocationCrawler crawler(&net, 1);
+  crawler.AddUrl(root->CrlUrl(0));
+  crawler.AddUrl("http://absent.sim/never.crl");  // fails every crawl
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& bytes = registry.GetCounter("crawl.bytes_downloaded");
+  obs::Counter& failures = registry.GetCounter("crawl.fetch_fail");
+  const std::uint64_t bytes_before = bytes.Value();
+  const std::uint64_t failures_before = failures.Value();
+  const auto expect_in_step = [&] {
+    EXPECT_EQ(bytes.Value() - bytes_before, crawler.bytes_downloaded());
+    EXPECT_EQ(failures.Value() - failures_before, crawler.fetch_failures());
+  };
+
+  crawler.CrawlAll(now);
+  expect_in_step();
+  const std::uint64_t crl_bytes = crawler.bytes_downloaded();
+  EXPECT_EQ(crawler.fetch_failures(), 1u);
+
+  EXPECT_EQ(crawler.QueryOcsp(*leaf, *root->cert(), now),
+            ocsp::CertStatus::kRevoked);
+  expect_in_step();
+  EXPECT_GT(crawler.bytes_downloaded(), crl_bytes);
+
+  net.SetUnresponsive(root->OcspHost(), true);
+  EXPECT_EQ(crawler.QueryOcsp(*leaf, *root->cert(), now + kDay), std::nullopt);
+  expect_in_step();
+  EXPECT_EQ(crawler.fetch_failures(), 2u);
 }
 
 // ---------------------------------------------------------- parallelism ----
