@@ -3,6 +3,7 @@
 // and the full browser-visit loop.
 #include <benchmark/benchmark.h>
 
+#include "asn1/writer.h"
 #include "browser/profiles.h"
 #include "browser/testsuite.h"
 #include "ca/ca.h"
@@ -112,7 +113,33 @@ void BM_CrlEncode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_CrlEncode)->Arg(100)->Arg(10'000);
+// 1 M entries is the size order of the Apple WWDR CRL (§5.2), the largest
+// list a CA reissues in the daily crawl.
+BENCHMARK(BM_CrlEncode)
+    ->Arg(100)
+    ->Arg(10'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The X.509 Time formatter under every CRL entry and certificate validity:
+// a spread of UTCTime instants plus one GeneralizedTime in eight.
+void BM_EncodeTime(benchmark::State& state) {
+  std::vector<util::Timestamp> times;
+  util::Rng rng(4);
+  for (int i = 0; i < 1024; ++i) {
+    times.push_back(i % 8 == 0 ? util::MakeDate(2050, 1, 1) +
+                                     static_cast<util::Timestamp>(
+                                         rng.NextBelow(100 * 365 * kDay))
+                               : kNow - static_cast<util::Timestamp>(
+                                            rng.NextBelow(3'000 * kDay)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(asn1::EncodeTime(times[i++ & 1023]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EncodeTime);
 
 void BM_CrlParse(benchmark::State& state) {
   const Bytes der = BenchCrl(static_cast<std::size_t>(state.range(0))).der;

@@ -1,7 +1,10 @@
 // DER encoding (the strict, canonical subset of BER used by X.509).
 //
-// Each function returns a complete TLV as a byte vector; composite values
-// are built by concatenating child encodings into a SEQUENCE/SET wrapper.
+// Each Encode* function returns a complete TLV as a byte vector; composite
+// values are built by concatenating child encodings into a SEQUENCE/SET
+// wrapper. Hot encoders (a CRL's revokedCertificates) use the Append*
+// primitives instead: each has a *Size twin returning exactly the bytes it
+// appends, so a caller sums the sizes, reserves once and writes in place.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +40,16 @@ std::uint8_t ContextTag(unsigned n, bool constructed);
 // Core TLV assembly: tag byte + DER definite length + content.
 Bytes Tlv(std::uint8_t tag, BytesView content);
 
-// Number of bytes Tlv() will produce for a content of length n (header only).
+// Appends a TLV header: tag byte + DER definite length of `content_len`.
+void AppendHeader(Bytes& out, std::uint8_t tag, std::size_t content_len);
+// Number of bytes AppendHeader() writes (Tlv() minus its content).
 std::size_t HeaderSize(std::size_t content_len);
+
+// Appends EncodeTime(ts) / EncodeIntegerUnsigned(magnitude_be).
+void AppendTime(Bytes& out, util::Timestamp ts);
+std::size_t TimeSize(util::Timestamp ts);
+void AppendIntegerUnsigned(Bytes& out, BytesView magnitude_be);
+std::size_t IntegerUnsignedSize(BytesView magnitude_be);
 
 Bytes EncodeBoolean(bool value);
 Bytes EncodeInteger(std::int64_t value);

@@ -1,12 +1,33 @@
 #include "ca/ca.h"
 
 #include <cassert>
+#include <chrono>
 
 #include "asn1/oid.h"
+#include "obs/metrics.h"
 
 namespace rev::ca {
 
 namespace {
+
+// CRL reissues: in a crawl this is the work SimNet's lock serializes, so a
+// /metrics scrape shows how much of a window the CA handler holds it.
+struct ReissueMetrics {
+  obs::Counter& reissues;
+  obs::Counter& entries_encoded;
+  obs::Histogram& reissue_ns;
+
+  static ReissueMetrics& Get() {
+    // Leaked: instruments outlive static teardown (registry semantics).
+    static ReissueMetrics* metrics = [] {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+      return new ReissueMetrics{reg.GetCounter("ca.crl_reissues"),
+                                reg.GetCounter("ca.crl_entries_encoded"),
+                                reg.GetHistogram("ca.crl_reissue_ns")};
+    }();
+    return *metrics;
+  }
+};
 
 x509::Name CaName(const CertificateAuthority::Options& options) {
   // Subjects read "<Name> CA" unless the display name already says so.
@@ -238,14 +259,19 @@ std::string CertificateAuthority::OcspUrl() const {
 }
 
 void CertificateAuthority::RebuildCrl(int shard, util::Timestamp now) {
+  const auto start = std::chrono::steady_clock::now();
   ShardState& state = shards_[static_cast<std::size_t>(shard)];
+  // The old list goes first, so the two are never held at once.
+  state.crl = crl::Crl{};
+  const std::vector<const IssuedEntry*>& revoked =
+      shard_revoked_[static_cast<std::size_t>(shard)];
   crl::TbsCrl tbs;
   tbs.issuer = cert_->tbs.subject;
   tbs.this_update = now;
   tbs.next_update = now + options_.crl_validity_seconds;
   tbs.crl_number = ++state.crl_number;
-  for (const IssuedEntry* entry :
-       shard_revoked_[static_cast<std::size_t>(shard)]) {
+  tbs.entries.reserve(revoked.size());
+  for (const IssuedEntry* entry : revoked) {
     const auto& [serial, record] = *entry;
     // Revocations scheduled for the future (the ecosystem generator plans
     // whole timelines up front) have not happened yet.
@@ -256,8 +282,16 @@ void CertificateAuthority::RebuildCrl(int shard, util::Timestamp now) {
     tbs.entries.push_back(
         crl::CrlEntry{serial, record.revoked_at, record.reason});
   }
-  state.crl = crl::SignCrl(tbs, key_);
+  const std::size_t entries = tbs.entries.size();
+  state.crl = crl::SignCrl(std::move(tbs), key_);
   state.dirty = false;
+
+  ReissueMetrics& metrics = ReissueMetrics::Get();
+  metrics.reissues.Increment();
+  metrics.entries_encoded.Add(entries);
+  metrics.reissue_ns.RecordSeconds(std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count());
 }
 
 const crl::Crl& CertificateAuthority::GetCrl(int shard, util::Timestamp now) {

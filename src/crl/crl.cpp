@@ -1,6 +1,7 @@
 #include "crl/crl.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "asn1/reader.h"
@@ -12,47 +13,94 @@ namespace rev::crl {
 
 namespace {
 
-Bytes EncodeEntry(const CrlEntry& entry) {
-  std::vector<Bytes> parts;
-  parts.push_back(asn1::EncodeIntegerUnsigned(entry.serial));
-  parts.push_back(asn1::EncodeTime(entry.revocation_date));
-  if (entry.reason != x509::ReasonCode::kNoReasonCode) {
-    parts.push_back(x509::EncodeExtensionList({x509::MakeCrlReason(entry.reason)}));
-  }
-  return asn1::EncodeSequence(parts);
+// The crlEntryExtensions of an entry: a one-extension list carrying its
+// CRLReason, or nothing for kNoReasonCode. Encoded once per reason code
+// (every int8 value, so an out-of-range code encodes as it always did).
+BytesView ReasonExtensions(x509::ReasonCode reason) {
+  static const std::vector<Bytes> table = [] {
+    std::vector<Bytes> encoded(256);
+    for (int code = -128; code < 128; ++code) {
+      const auto rc = static_cast<x509::ReasonCode>(code);
+      if (rc == x509::ReasonCode::kNoReasonCode) continue;
+      encoded[static_cast<std::uint8_t>(code)] =
+          x509::EncodeExtensionList({x509::MakeCrlReason(rc)});
+    }
+    return encoded;
+  }();
+  return table[static_cast<std::uint8_t>(reason)];
+}
+
+// Content length of one revokedCertificates entry SEQUENCE.
+std::size_t EntryContentSize(const CrlEntry& entry) {
+  return asn1::IntegerUnsignedSize(entry.serial) +
+         asn1::TimeSize(entry.revocation_date) +
+         ReasonExtensions(entry.reason).size();
 }
 
 }  // namespace
 
+// Two passes: sum every entry's length, reserve the whole TBS once, then
+// write each entry straight into it.
 Bytes EncodeTbsCrl(const TbsCrl& tbs, crypto::KeyType sig_type) {
-  std::vector<Bytes> parts;
-  parts.push_back(asn1::EncodeInteger(1));  // v2
-  parts.push_back(x509::EncodeSignatureAlgorithm(sig_type));
-  parts.push_back(tbs.issuer.Encode());
-  parts.push_back(asn1::EncodeTime(tbs.this_update));
-  if (tbs.next_update != 0) parts.push_back(asn1::EncodeTime(tbs.next_update));
+  const Bytes version = asn1::EncodeInteger(1);  // v2
+  const Bytes signature = x509::EncodeSignatureAlgorithm(sig_type);
+  const Bytes issuer = tbs.issuer.Encode();
+  const Bytes extensions =
+      tbs.crl_number < 0
+          ? Bytes{}
+          : asn1::EncodeContextExplicit(
+                0, x509::EncodeExtensionList(
+                       {x509::MakeCrlNumber(tbs.crl_number)}));
+
+  std::size_t entries_len = 0;
+  for (const CrlEntry& e : tbs.entries) {
+    const std::size_t n = EntryContentSize(e);
+    entries_len += asn1::HeaderSize(n) + n;
+  }
+  const std::size_t len =
+      version.size() + signature.size() + issuer.size() +
+      asn1::TimeSize(tbs.this_update) +
+      (tbs.next_update != 0 ? asn1::TimeSize(tbs.next_update) : 0) +
+      (tbs.entries.empty() ? 0 : asn1::HeaderSize(entries_len) + entries_len) +
+      extensions.size();
+
+  Bytes out;
+  out.reserve(asn1::HeaderSize(len) + len);
+  asn1::AppendHeader(out, asn1::kTagSequence, len);
+  Append(out, version);
+  Append(out, signature);
+  Append(out, issuer);
+  asn1::AppendTime(out, tbs.this_update);
+  if (tbs.next_update != 0) asn1::AppendTime(out, tbs.next_update);
   if (!tbs.entries.empty()) {
-    std::vector<Bytes> entries;
-    entries.reserve(tbs.entries.size());
-    for (const CrlEntry& e : tbs.entries) entries.push_back(EncodeEntry(e));
-    parts.push_back(asn1::EncodeSequence(entries));
+    asn1::AppendHeader(out, asn1::kTagSequence, entries_len);
+    for (const CrlEntry& e : tbs.entries) {
+      asn1::AppendHeader(out, asn1::kTagSequence, EntryContentSize(e));
+      asn1::AppendIntegerUnsigned(out, e.serial);
+      asn1::AppendTime(out, e.revocation_date);
+      Append(out, ReasonExtensions(e.reason));
+    }
   }
-  if (tbs.crl_number >= 0) {
-    parts.push_back(asn1::EncodeContextExplicit(
-        0, x509::EncodeExtensionList({x509::MakeCrlNumber(tbs.crl_number)})));
-  }
-  return asn1::EncodeSequence(parts);
+  Append(out, extensions);
+  assert(out.size() == asn1::HeaderSize(len) + len);
+  return out;
 }
 
-Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key) {
+Crl SignCrl(TbsCrl tbs, const crypto::KeyPair& issuer_key) {
   Crl crl;
-  crl.tbs = tbs;
   crl.sig_type = issuer_key.type;
   crl.tbs_der = EncodeTbsCrl(tbs, issuer_key.type);
+  crl.tbs = std::move(tbs);
   crl.signature = crypto::Sign(issuer_key, crl.tbs_der);
-  crl.der = asn1::EncodeSequence(
-      {crl.tbs_der, x509::EncodeSignatureAlgorithm(issuer_key.type),
-       asn1::EncodeBitString(crl.signature)});
+  const Bytes algorithm = x509::EncodeSignatureAlgorithm(issuer_key.type);
+  const Bytes signature = asn1::EncodeBitString(crl.signature);
+  const std::size_t len =
+      crl.tbs_der.size() + algorithm.size() + signature.size();
+  crl.der.reserve(asn1::HeaderSize(len) + len);
+  asn1::AppendHeader(crl.der, asn1::kTagSequence, len);
+  Append(crl.der, crl.tbs_der);
+  Append(crl.der, algorithm);
+  Append(crl.der, signature);
   return crl;
 }
 
@@ -115,6 +163,9 @@ std::optional<Crl> ParseCrl(BytesView der) {
           }
         }
       }
+      // Nothing may follow crlEntryExtensions: a parse that skipped it
+      // would accept a CRL whose re-encoding differs from its bytes.
+      if (!entry_seq.Empty()) return std::nullopt;
       crl.tbs.entries.push_back(std::move(entry));
     }
   }
@@ -132,6 +183,8 @@ std::optional<Crl> ParseCrl(BytesView der) {
       }
     }
   }
+  // Likewise nothing after crlExtensions, the TBSCertList's last field.
+  if (!tbs_seq.Empty()) return std::nullopt;
 
   auto outer_sig_type = x509::DecodeSignatureAlgorithm(crl_seq);
   if (!outer_sig_type || *outer_sig_type != *inner_sig_type)

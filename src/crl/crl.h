@@ -52,7 +52,13 @@ class Crl {
   }
 };
 
-Crl SignCrl(const TbsCrl& tbs, const crypto::KeyPair& issuer_key);
+// DER of the TBSCertList that SignCrl signs. A CRL ParseCrl accepts
+// re-encodes to its own `tbs_der`.
+Bytes EncodeTbsCrl(const TbsCrl& tbs, crypto::KeyType sig_type);
+
+// Encodes and signs `tbs`, which the returned Crl takes over (pass an
+// rvalue to avoid copying the entries).
+Crl SignCrl(TbsCrl tbs, const crypto::KeyPair& issuer_key);
 std::optional<Crl> ParseCrl(BytesView der);
 bool VerifyCrlSignature(const Crl& crl, const crypto::PublicKey& issuer_key);
 

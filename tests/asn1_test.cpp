@@ -2,6 +2,8 @@
 // strictness (rejection of non-minimal/truncated forms).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asn1/oid.h"
 #include "asn1/reader.h"
 #include "asn1/writer.h"
@@ -70,6 +72,84 @@ TEST(Writer, TimeChoosesUtcVsGeneralized) {
   EXPECT_EQ(EncodeTime(util::MakeDate(2014, 4, 8))[0], 0x17);
   EXPECT_EQ(EncodeTime(util::MakeDate(2050, 1, 1))[0], 0x18);
   EXPECT_EQ(EncodeTime(util::MakeDate(1949, 12, 31))[0], 0x18);
+}
+
+// Exact Time encodings, recorded from the snprintf-based formatter that
+// preceded the digit writer. Years outside [0, 9999] keep printf's "%04d"
+// shape (a sign, or a fifth digit).
+TEST(Writer, KnownTimeEncodings) {
+  const util::Timestamp t = util::MakeDate(2014, 4, 8) + 3723;  // 01:02:03
+  EXPECT_EQ(HexEncode(EncodeTime(t)), "170d3134303430383031303230335a");
+  EXPECT_EQ(HexEncode(EncodeUtcTime(t)), "170d3134303430383031303230335a");
+  EXPECT_EQ(HexEncode(EncodeGeneralizedTime(t)), "180f32303134303430383031303230335a");
+  EXPECT_EQ(HexEncode(EncodeTime(util::MakeDate(1950, 1, 1) - 1)), "180f31393439313233313233353935395a");
+  EXPECT_EQ(HexEncode(EncodeTime(util::MakeDate(2049, 12, 31) + 86399)),
+            "170d3439313233313233353935395a");
+  EXPECT_EQ(HexEncode(EncodeTime(util::MakeDate(1, 2, 3))), "180f30303031303230333030303030305a");
+  EXPECT_EQ(HexEncode(EncodeTime(util::MakeDate(10000, 1, 1))), "18103130303030303130313030303030305a");
+  EXPECT_EQ(HexEncode(EncodeTime(util::MakeDate(-1, 12, 31))), "180f2d303031313233313030303030305a");
+  EXPECT_EQ(HexEncode(EncodeUtcTime(util::MakeDate(2107, 5, 6))), "170d3037303530363030303030305a");
+  EXPECT_EQ(HexEncode(EncodeUtcTime(util::MakeDate(-5, 5, 6))), "170d2d35303530363030303030305a");
+}
+
+// Each Append* primitive writes exactly its Encode* twin's bytes, and its
+// *Size function predicts them.
+TEST(Writer, AppendHeaderMatchesTlv) {
+  for (std::size_t n : {0u, 1u, 127u, 128u, 255u, 256u, 65'535u, 65'536u,
+                        1u << 24}) {
+    const Bytes tlv = Tlv(kTagSequence, Bytes(n, 0x5A));
+    Bytes header = {0xEE};
+    AppendHeader(header, kTagSequence, n);
+    ASSERT_EQ(header.size(), 1 + HeaderSize(n)) << n;
+    EXPECT_TRUE(std::equal(header.begin() + 1, header.end(), tlv.begin()))
+        << n;
+  }
+}
+
+TEST(Writer, AppendIntegerUnsignedMatchesEncode) {
+  util::Rng rng(31);
+  std::vector<Bytes> magnitudes = {{},           {0x00},       {0x00, 0x00},
+                                   {0x80},       {0x00, 0x80}, {0x7F, 0xFF},
+                                   Bytes(130, 0xC3)};
+  for (int i = 0; i < 200; ++i) {
+    Bytes m(rng.NextBelow(24));
+    rng.Fill(m.data(), m.size());
+    if (!m.empty() && i % 3 == 0) m[0] = 0;
+    magnitudes.push_back(std::move(m));
+  }
+  for (const Bytes& m : magnitudes) {
+    Bytes out = {0xEE};
+    AppendIntegerUnsigned(out, m);
+    EXPECT_EQ(Bytes(out.begin() + 1, out.end()), EncodeIntegerUnsigned(m));
+    EXPECT_EQ(IntegerUnsignedSize(m), out.size() - 1);
+  }
+}
+
+// TimeSize answers from the timestamp alone inside [0000, 10000); the
+// instants where UTCTime/GeneralizedTime and four-digit years switch are
+// checked on both sides.
+TEST(Writer, TimeSizeMatchesEncoding) {
+  std::vector<util::Timestamp> times;
+  for (util::Timestamp edge :
+       {util::MakeDate(1950, 1, 1), util::MakeDate(2050, 1, 1),
+        util::MakeDate(0, 1, 1), util::MakeDate(10000, 1, 1),
+        util::MakeDate(1970, 1, 1), util::MakeDate(-10000, 1, 1),
+        util::MakeDate(100000, 1, 1)}) {
+    for (util::Timestamp d = -2; d <= 2; ++d) times.push_back(edge + d);
+  }
+  util::Rng rng(32);
+  for (int i = 0; i < 500; ++i) {
+    times.push_back(util::MakeDate(1900, 1, 1) +
+                    static_cast<util::Timestamp>(
+                        rng.NextBelow(250ull * 365 * util::kSecondsPerDay)));
+  }
+  for (util::Timestamp ts : times) {
+    const Bytes der = EncodeTime(ts);
+    Bytes out = {0xEE};
+    AppendTime(out, ts);
+    EXPECT_EQ(Bytes(out.begin() + 1, out.end()), der) << ts;
+    EXPECT_EQ(TimeSize(ts), der.size()) << ts;
+  }
 }
 
 TEST(Writer, ContextTags) {

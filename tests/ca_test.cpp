@@ -5,8 +5,11 @@
 
 #include "ca/ca.h"
 #include "crl/crl.h"
+#include "crypto/sha256.h"
 #include "net/simnet.h"
+#include "obs/metrics.h"
 #include "ocsp/ocsp.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace rev::ca {
@@ -340,6 +343,96 @@ TEST(Ca, ExpiryLookup) {
   const x509::CertPtr leaf = root->Issue(issue, rng);
   EXPECT_EQ(root->ExpiryOf(leaf->tbs.serial), kNow + kYear);
   EXPECT_EQ(root->ExpiryOf(x509::Serial{9, 9}), 0);
+}
+
+// Every reissue lands in the registry: one ca.crl_reissues tick, its entry
+// count in ca.crl_entries_encoded and one ca.crl_reissue_ns sample. A CRL
+// served while fresh records nothing.
+TEST(Ca, ReissueMetrics) {
+  util::Rng rng(13);
+  auto root = MakeRoot(rng);
+  root->AddSyntheticRevocations(250, rng, kNow - 10 * kDay, kNow - kDay,
+                                kNow + kYear, kNow + 2 * kYear,
+                                x509::ReasonCode::kNoReasonCode);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter& reissues = reg.GetCounter("ca.crl_reissues");
+  obs::Counter& entries = reg.GetCounter("ca.crl_entries_encoded");
+  obs::Histogram& reissue_ns = reg.GetHistogram("ca.crl_reissue_ns");
+  const std::uint64_t reissues0 = reissues.Value();
+  const std::uint64_t entries0 = entries.Value();
+  const std::uint64_t samples0 = reissue_ns.Count();
+
+  EXPECT_EQ(root->GetCrl(0, kNow).tbs.entries.size(), 250u);
+  root->GetCrl(0, kNow + 3600);  // fresh: no reissue
+  EXPECT_EQ(reissues.Value() - reissues0, 1u);
+  EXPECT_EQ(entries.Value() - entries0, 250u);
+  EXPECT_EQ(reissue_ns.Count() - samples0, 1u);
+
+  root->GetCrl(0, kNow + 2 * kDay);
+  EXPECT_EQ(reissues.Value() - reissues0, 2u);
+  EXPECT_EQ(entries.Value() - entries0, 500u);
+  EXPECT_EQ(reissue_ns.Count() - samples0, 2u);
+}
+
+// A seeded four-shard CA reissued daily for 60 days: the SHA-256 over every
+// CRL it serves pins the encoder's bytes through real rebuilds (expiry
+// drops, future-dated revocations coming due, revocations mid-window),
+// recorded from the vector-per-entry encoder that preceded the sized
+// TBSCertList writer.
+TEST(CaGolden, DailyReissueDigest) {
+  util::Rng rng(60);
+  auto root = MakeRoot(rng, /*shards=*/4);
+  root->SetShardWeights({6, 3, 1, 1});
+  std::vector<x509::CertPtr> leaves;
+  for (int i = 0; i < 600; ++i) {
+    CertificateAuthority::IssueOptions issue;
+    issue.common_name = "golden" + std::to_string(i) + ".sim";
+    issue.not_before =
+        kNow - static_cast<util::Timestamp>(rng.NextBelow(300)) * kDay;
+    issue.lifetime_seconds =
+        (90 + static_cast<std::int64_t>(rng.NextBelow(400))) * kDay;
+    leaves.push_back(root->Issue(issue, rng));
+  }
+  // Half revoked up front (some dated inside the window), spread over every
+  // reason code.
+  using x509::ReasonCode;
+  const ReasonCode kReasons[] = {
+      ReasonCode::kNoReasonCode,       ReasonCode::kUnspecified,
+      ReasonCode::kKeyCompromise,      ReasonCode::kCaCompromise,
+      ReasonCode::kAffiliationChanged, ReasonCode::kSuperseded,
+      ReasonCode::kCessationOfOperation, ReasonCode::kCertificateHold,
+      ReasonCode::kRemoveFromCrl,      ReasonCode::kPrivilegeWithdrawn,
+      ReasonCode::kAaCompromise};
+  for (std::size_t i = 0; i < leaves.size(); i += 2) {
+    const util::Timestamp when =
+        kNow - 100 * kDay +
+        static_cast<util::Timestamp>(rng.NextBelow(150 * kDay));
+    root->Revoke(leaves[i]->tbs.serial, when, kReasons[rng.NextBelow(11)]);
+  }
+  root->AddSyntheticRevocations(3000, rng, kNow - 200 * kDay, kNow + 30 * kDay,
+                                kNow + 10 * kDay, kNow + 2 * kYear,
+                                x509::ReasonCode::kNoReasonCode);
+
+  crypto::Sha256 hasher;
+  std::size_t total_bytes = 0;
+  std::size_t leaf = 1;
+  for (int day = 0; day < 60; ++day) {
+    // One second past the previous nextUpdate, so every shard is reissued.
+    const util::Timestamp now = kNow + day * (kDay + 1);
+    if (day % 5 == 4) {
+      for (int k = 0; k < 10 && leaf < leaves.size(); ++k, leaf += 2)
+        root->Revoke(leaves[leaf]->tbs.serial, now - 600,
+                     x509::ReasonCode::kSuperseded);
+    }
+    for (int shard = 0; shard < 4; ++shard) {
+      const crl::Crl& crl = root->GetCrl(shard, now);
+      ASSERT_EQ(crl.tbs.this_update, now);
+      hasher.Update(crl.der);
+      total_bytes += crl.der.size();
+    }
+  }
+  EXPECT_EQ(total_bytes, 6670654u);
+  EXPECT_EQ(util::HexEncode(hasher.Finish()), "0bf23603b468f082011cfb9a74345b093bd8033d710e7db4330214bab185401c");
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // nicety.)
 #include <gtest/gtest.h>
 
+#include "asn1/reader.h"
+#include "asn1/writer.h"
 #include "cascade/cascade.h"
 #include "cascade/delta.h"
 #include "core/pipeline.h"
@@ -13,6 +15,7 @@
 #include "crlset/crlset.h"
 #include "obs/metrics.h"
 #include "ocsp/ocsp.h"
+#include "util/hex.h"
 #include "util/rng.h"
 #include "x509/certificate.h"
 #include "x509/view.h"
@@ -137,13 +140,74 @@ TEST_P(FuzzSeeds, CertificateParserNeverCrashes) {
 TEST_P(FuzzSeeds, CrlParserNeverCrashes) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 2);
   const Bytes valid = ValidCrlDer();
+  const crypto::PublicKey ca_key = crypto::SimKeyFromLabel("fuzz-ca").Public();
   for (int i = 0; i < 400; ++i) {
     const Bytes mutated = Mutate(valid, rng);
     auto crl = crl::ParseCrl(mutated);
     if (!crl) continue;
+    // A parse that still verifies re-encodes to exactly the signed bytes.
+    if (crl::VerifyCrlSignature(*crl, ca_key)) {
+      EXPECT_EQ(crl::EncodeTbsCrl(crl->tbs, crl->sig_type), crl->tbs_der);
+    }
     const crl::CrlIndex index(*crl);
     (void)index.IsRevoked(x509::Serial{1, 2, 3});
     (void)crl->IsExpired(kNow);
+  }
+}
+
+// The raw child TLVs of a constructed TLV.
+std::vector<Bytes> Children(BytesView tlv) {
+  asn1::Reader outer(tlv);
+  std::uint8_t tag = 0;
+  BytesView content;
+  EXPECT_TRUE(outer.ReadTlv(&tag, &content));
+  asn1::Reader inner(content);
+  std::vector<Bytes> children;
+  BytesView child;
+  while (inner.ReadRawTlv(&child)) children.emplace_back(child.begin(), child.end());
+  return children;
+}
+
+// Appends `tlv` inside a CRL, rewriting every enclosing length: after the
+// crlEntryExtensions of revokedCertificates entry `entry`, or, for
+// entry < 0, after the TBSCertList's crlExtensions.
+Bytes AppendTlvInsideCrl(BytesView crl_der, int entry, const Bytes& tlv) {
+  std::vector<Bytes> crl = Children(crl_der);  // tbs, algorithm, signature
+  std::vector<Bytes> tbs = Children(crl[0]);
+  if (entry < 0) {
+    tbs.push_back(tlv);
+  } else {
+    // version, signature, issuer, thisUpdate, nextUpdate, entries, [0].
+    std::vector<Bytes> entries = Children(tbs[5]);
+    std::vector<Bytes> fields = Children(entries[static_cast<std::size_t>(entry)]);
+    EXPECT_EQ(fields.size(), 3u);  // serial, date, crlEntryExtensions
+    fields.push_back(tlv);
+    entries[static_cast<std::size_t>(entry)] = asn1::EncodeSequence(fields);
+    tbs[5] = asn1::EncodeSequence(entries);
+  }
+  crl[0] = asn1::EncodeSequence(tbs);
+  return asn1::EncodeSequence(crl);
+}
+
+TEST_P(FuzzSeeds, CrlParserRejectsTrailingTlvs) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007 + 3);
+  const Bytes valid = ValidCrlDer();
+  ASSERT_TRUE(crl::ParseCrl(valid));
+  for (int i = 0; i < 50; ++i) {
+    // Any low tag number (both classes, primitive or constructed) with up
+    // to 40 random content bytes: well-formed as a TLV, so only the
+    // end-of-sequence checks can reject it.
+    std::uint8_t tag = static_cast<std::uint8_t>(rng.NextBelow(256));
+    if ((tag & 0x1F) == 0x1F) tag ^= 0x01;
+    Bytes content(rng.NextBelow(41));
+    rng.Fill(content.data(), content.size());
+    const Bytes tlv = asn1::Tlv(tag, content);
+    // Odd entries carry a CRLReason extension (ValidCrlDer).
+    const int entry = 2 * static_cast<int>(rng.NextBelow(15)) + 1;
+    EXPECT_FALSE(crl::ParseCrl(AppendTlvInsideCrl(valid, entry, tlv)))
+        << "entry " << entry << ": " << util::HexEncode(tlv);
+    EXPECT_FALSE(crl::ParseCrl(AppendTlvInsideCrl(valid, -1, tlv)))
+        << util::HexEncode(tlv);
   }
 }
 
