@@ -52,8 +52,7 @@ class Crl {
   }
 };
 
-// DER of the TBSCertList that SignCrl signs. A CRL ParseCrl accepts
-// re-encodes to its own `tbs_der`.
+// DER of the TBSCertList that SignCrl signs.
 Bytes EncodeTbsCrl(const TbsCrl& tbs, crypto::KeyType sig_type);
 
 // Encodes and signs `tbs`, which the returned Crl takes over (pass an
